@@ -73,6 +73,12 @@ type Transport struct {
 	partitioned bool
 	held        [][]byte // encoded frames in flight inside the "network"
 	stats       TransportStats
+
+	// Tap, when set, runs at every point where a durable node may just
+	// have written a snapshot: after a delivered frame's persistence tick
+	// wrote one, and at the start of every Push (a durable relay persists
+	// a fresh frame before sending it). Audits of the disk hook in here.
+	Tap func()
 }
 
 // NewTransport wraps an aggregator in a faulty network.
@@ -111,6 +117,9 @@ func (e errNet) Error() string { return "faulttest: " + string(e) }
 
 // Push implements salsad.Transport.
 func (t *Transport) Push(_ context.Context, p *salsad.Push) (*salsad.Ack, error) {
+	if t.Tap != nil {
+		t.Tap()
+	}
 	enc, err := p.Encode()
 	if err != nil {
 		return nil, err
@@ -176,7 +185,10 @@ func (t *Transport) deliverLocked(enc []byte) (*salsad.Ack, error) {
 	}
 	ack, err := t.agg.ApplyPush(p)
 	if err == nil && ack.Status == salsad.StatusApplied {
-		t.agg.MaybePersist() //nolint:errcheck // counted in aggregator stats
+		persisted, _ := t.agg.MaybePersist() // errors are counted in aggregator stats
+		if persisted && t.Tap != nil {
+			t.Tap()
+		}
 	}
 	return ack, err
 }

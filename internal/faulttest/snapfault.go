@@ -51,12 +51,50 @@ func CorruptLatestSnapshot(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return path, flipMiddleBit(path)
+}
+
+// flipMiddleBit flips one bit in the middle of the file at path.
+func flipMiddleBit(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", err
+		return err
 	}
 	data[len(data)/2] ^= 0x40
-	return path, os.WriteFile(path, data, 0o644)
+	return os.WriteFile(path, data, 0o644)
+}
+
+// SnapshotChain returns the chain a restore of dir would load: the epoch
+// of its checkpoint and the epochs of the records after it, oldest first.
+// Opening the store sweeps leftover .tmp files, as a restart would.
+func SnapshotChain(dir string) (checkpoint uint64, records []uint64, err error) {
+	store, err := salsad.OpenStore(dir)
+	if err != nil {
+		return 0, nil, err
+	}
+	res, err := store.LoadChain()
+	if err != nil {
+		return 0, nil, err
+	}
+	for _, r := range res.Records {
+		records = append(records, r.Epoch)
+	}
+	return res.Epoch, records, nil
+}
+
+// CorruptSnapshot flips one bit in the middle of the snapshot file of the
+// given epoch — a bad sector under one link of a chain. The checksum must
+// reject it, and a restore must stop there.
+func CorruptSnapshot(dir string, epoch uint64) (string, error) {
+	path := filepath.Join(dir, salsad.SnapshotFileName(epoch))
+	return path, flipMiddleBit(path)
+}
+
+// DeleteSnapshot removes the snapshot file of the given epoch — a link
+// lost to an operator or a filesystem. A restore must stop at the gap.
+func DeleteSnapshot(dir string, epoch uint64) (string, error) {
+	path := filepath.Join(dir, salsad.SnapshotFileName(epoch))
+	return path, os.Remove(path)
 }
 
 // CorruptAllSnapshots flips a bit in every snapshot file under dir — a
@@ -72,13 +110,8 @@ func CorruptAllSnapshots(dir string) ([]string, error) {
 	}
 	var paths []string
 	for _, e := range epochs {
-		path := filepath.Join(dir, salsad.SnapshotFileName(e))
-		data, err := os.ReadFile(path)
+		path, err := CorruptSnapshot(dir, e)
 		if err != nil {
-			return nil, err
-		}
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return nil, err
 		}
 		paths = append(paths, path)

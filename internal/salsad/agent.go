@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"salsa"
+	"salsa/internal/sketch"
 )
 
 // Transport carries frames from an agent to an aggregator. HTTPTransport
@@ -195,16 +196,37 @@ func (a *Agent) buildLive() error {
 	}
 	a.live = built
 	switch s := built.(type) {
+	// An epoch topology's writer, and the private buffers its slot
+	// claims, come with the first ingested item: until then the agent
+	// holds only the read view.
 	case *salsa.EpochCountMin:
-		w := s.NewWriter(0)
-		a.ingest = w.Update
-		a.cut = func() { w.Flush(); s.Advance() }
+		var w *salsa.EpochWriter[*sketch.CMS]
+		a.ingest = func(item uint64, count int64) {
+			w = s.NewWriter(0)
+			a.ingest = w.Update
+			w.Update(item, count)
+		}
+		a.cut = func() {
+			if w != nil {
+				w.Flush()
+			}
+			s.Advance()
+		}
 		a.core = func() salsa.Sketch { return s.View() }
 		a.pending = s.Pending
 	case *salsa.EpochCountSketch:
-		w := s.NewWriter(0)
-		a.ingest = w.Update
-		a.cut = func() { w.Flush(); s.Advance() }
+		var w *salsa.EpochWriter[*sketch.CountSketch]
+		a.ingest = func(item uint64, count int64) {
+			w = s.NewWriter(0)
+			a.ingest = w.Update
+			w.Update(item, count)
+		}
+		a.cut = func() {
+			if w != nil {
+				w.Flush()
+			}
+			s.Advance()
+		}
 		a.core = func() salsa.Sketch { return s.View() }
 		a.pending = s.Pending
 	case *salsa.CountMin:

@@ -124,6 +124,14 @@ type Aggregator struct {
 	snapAt           time.Time
 	persistedApplied uint64
 	restoreErr       error
+	restoreSkipped   []error
+	// dirty maps every row changed since the last snapshot that covered
+	// it to the stamp of its latest change, and newCands lists the
+	// candidates added since: what the next record carries. Maintained
+	// only on durable nodes.
+	dirty    map[string]uint64
+	stamp    uint64
+	newCands []uint64
 
 	// upstreamStats, set once by NewRelay before any concurrency, samples
 	// the relay's upstream delivery counters for StatsView.
@@ -155,6 +163,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		ref:         ref,
 		agents:      make(map[string]*agentEntry),
 		candidates:  make(map[uint64]struct{}),
+		dirty:       make(map[string]uint64),
 	}
 	if a.leaseTTL <= 0 {
 		a.leaseTTL = DefaultLeaseTTL
@@ -177,19 +186,24 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		if every <= 0 {
 			every = DefaultSnapshotEvery
 		}
-		a.pers = &persistor{store: store, every: every, state: a.MarshalState}
-		a.restore(store, stateKindAggregator)
+		a.pers = &persistor{store: store, every: every, agg: a, state: func(full bool) (*stateCut, error) {
+			return a.capture(stateKindAggregator, full, nil)
+		}}
+		a.restore(stateKindAggregator)
 	}
 	return a, nil
 }
 
-// restore loads the newest valid snapshot into the aggregator. A missing
-// snapshot is a first boot; an invalid or role-mismatched one is recorded
-// (RestoreError, stats.PersistErrors) and the aggregator starts empty —
-// the PR 8 resync path rebuilds state from the agents. It returns the
-// opaque upstream section for relay snapshots.
-func (a *Aggregator) restore(store *Store, wantKind byte) (upstream []byte, skipped int) {
-	res, err := store.LoadLatest()
+// restore loads the newest valid checkpoint and the chain of records
+// after it into the aggregator. A missing snapshot is a first boot; an
+// invalid or role-mismatched one is recorded (RestoreError,
+// stats.PersistErrors) and the aggregator starts empty — the PR 8 resync
+// path rebuilds state from the agents. A chain that stops at a hole
+// loads up to the hole and reports the rest as skipped. It returns the
+// opaque upstream section for relay snapshots and the number of files
+// skipped.
+func (a *Aggregator) restore(wantKind byte) (upstream []byte, skipped int) {
+	res, err := a.pers.store.LoadChain()
 	if err != nil {
 		if errors.Is(err, ErrNoSnapshot) {
 			return nil, 0
@@ -197,30 +211,58 @@ func (a *Aggregator) restore(store *Store, wantKind byte) (upstream []byte, skip
 		a.noteRestoreError(err)
 		return nil, 0
 	}
-	kind, upstream, err := a.restoreState(res.State)
+	img, err := parseImage(res.State, false, a.maxEnvelope)
 	if err != nil {
 		a.noteRestoreError(&SnapshotError{Path: res.Path, Reason: "restore", Err: err})
 		return nil, len(res.Skipped)
 	}
-	if kind != wantKind {
+	if img.kind != wantKind {
 		// A role mismatch (an aggregator pointed at a relay's data dir, or
-		// vice versa) means the upstream/downstream split is wrong; the
-		// table was already swapped in by restoreState, so reset it.
-		a.mu.Lock()
-		a.agents = make(map[string]*agentEntry)
-		a.candidates = make(map[uint64]struct{})
-		a.stats = AggregatorStats{}
-		a.mu.Unlock()
+		// vice versa) means the upstream/downstream split is wrong.
 		a.noteRestoreError(&SnapshotError{Path: res.Path,
-			Reason: fmt.Sprintf("snapshot written by role kind %d, this node is kind %d", kind, wantKind)})
+			Reason: fmt.Sprintf("snapshot written by role kind %d, this node is kind %d", img.kind, wantKind)})
+		return nil, len(res.Skipped)
+	}
+	last, chainBytes := res.Epoch, 0
+	for i, rec := range res.Records {
+		ri, err := parseImage(rec.Payload, true, a.maxEnvelope)
+		if err == nil {
+			err = img.apply(ri)
+		}
+		if err != nil {
+			// A record that checksums but does not decode is a hole too.
+			hole := append([]error{&SnapshotError{Path: rec.Path, Reason: "restore", Err: err}},
+				unreachable(a.pers.store.Dir(), recordEpochs(res.Records[i+1:]), rec.Epoch)...)
+			res.Skipped = append(hole, res.Skipped...)
+			break
+		}
+		last = rec.Epoch
+		chainBytes += snapFileLen(snapRecordVersion, len(rec.Payload))
+	}
+	if err := a.install(img); err != nil {
+		a.noteRestoreError(&SnapshotError{Path: res.Path, Reason: "restore", Err: err})
 		return nil, len(res.Skipped)
 	}
 	a.mu.Lock()
-	a.snapEpoch = res.Epoch
+	a.snapEpoch = last
 	a.snapAt = a.now()
 	a.persistedApplied = a.stats.Applied
+	a.restoreSkipped = res.Skipped
 	a.mu.Unlock()
-	return upstream, len(res.Skipped)
+	if len(res.Skipped) == 0 {
+		// The next persist may extend this chain; after a hole it must
+		// start a new one.
+		a.pers.last, a.pers.ckptBytes, a.pers.chainBytes = last, snapFileLen(snapVersion, len(res.State)), chainBytes
+	}
+	return img.upstream, len(res.Skipped)
+}
+
+func recordEpochs(recs []Record) []uint64 {
+	out := make([]uint64, len(recs))
+	for i, r := range recs {
+		out[i] = r.Epoch
+	}
+	return out
 }
 
 // noteRestoreError records a failed restore: typed error kept for
@@ -242,6 +284,16 @@ func (a *Aggregator) RestoreError() error {
 	return a.restoreErr
 }
 
+// RestoreSkipped returns the typed *SnapshotErrors of the files the last
+// restore passed over: the first hole in the snapshot chain, then every
+// file after it. Non-empty means the node restored an older state than
+// the newest on disk, and agents ahead of it will resync.
+func (a *Aggregator) RestoreSkipped() []error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.restoreSkipped
+}
+
 // Store returns the snapshot store (nil without a DataDir).
 func (a *Aggregator) Store() *Store {
 	if a.pers == nil {
@@ -250,23 +302,21 @@ func (a *Aggregator) Store() *Store {
 	return a.pers.store
 }
 
-// Persist writes the current durable state as a new snapshot epoch.
-// Returns a *ConfigError when the aggregator has no DataDir.
+// Persist writes the current durable state as a new snapshot epoch: a
+// record of the rows changed since the last snapshot, or a checkpoint of
+// the whole table when that is due (see Store). Returns a *ConfigError
+// when the aggregator has no DataDir.
 func (a *Aggregator) Persist() (uint64, error) {
 	if a.pers == nil {
 		return 0, &ConfigError{Field: "DataDir", Reason: "aggregator is not durable; set DataDir"}
 	}
 	epoch, err := a.pers.persist()
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if err != nil {
+		a.mu.Lock()
 		a.stats.PersistErrors++
+		a.mu.Unlock()
 		return 0, err
 	}
-	a.snapEpoch = epoch
-	a.snapAt = a.now()
-	a.persistedApplied = a.stats.Applied
-	a.stats.Persists++
 	return epoch, nil
 }
 
@@ -362,6 +412,7 @@ func (a *Aggregator) ApplyPush(p *Push) (*Ack, error) {
 			a.stats.Rejected++
 			return nil, err
 		}
+		a.touchLocked(p.Agent)
 		if e == nil {
 			e = &agentEntry{}
 			a.agents[p.Agent] = e
@@ -397,6 +448,7 @@ func (a *Aggregator) ApplyPush(p *Push) (*Ack, error) {
 		return ackFor(StatusDuplicate, e), nil
 
 	case p.Seq == e.lastSeq+1:
+		a.touchLocked(p.Agent)
 		if p.Full() {
 			e.base = nil
 			e.cur = delta
@@ -442,6 +494,15 @@ func (a *Aggregator) checkCompatibleLocked(sk salsa.Sketch) error {
 	return salsa.MergeInto(sk, a.ref)
 }
 
+// touchLocked marks an agent's row dirty on a durable node, just before
+// it changes.
+func (a *Aggregator) touchLocked(id string) {
+	if a.pers != nil {
+		a.stamp++
+		a.dirty[id] = a.stamp
+	}
+}
+
 // addCandidatesLocked folds an agent's heavy-hitter candidates into the
 // bounded pool.
 func (a *Aggregator) addCandidatesLocked(items []uint64) {
@@ -454,6 +515,9 @@ func (a *Aggregator) addCandidatesLocked(items []uint64) {
 			continue
 		}
 		a.candidates[it] = struct{}{}
+		if a.pers != nil {
+			a.newCands = append(a.newCands, it)
+		}
 	}
 }
 

@@ -4,22 +4,35 @@ package salsad
 //
 // A Store owns a data directory holding snapshot files named
 // snap-<epoch>.salsad, where <epoch> is a 16-hex-digit monotonically
-// increasing stamp. Each file wraps an opaque state payload in a small
-// header (magic, version, epoch, length) followed by a CRC-64/ECMA
-// checksum over everything before it. Writes are atomic: the file is
-// assembled in a .tmp sibling, fsynced, renamed into place, and the
-// directory fsynced — so a crash mid-write leaves only an ignorable .tmp
-// and every *named* snapshot on disk is complete. The embedded epoch must
-// match the filename's, which is what catches a stale snapshot replayed
-// under a newer name.
+// increasing stamp. Each file wraps an opaque payload in a small header
+// (magic, version, epoch, length) followed by a CRC-64/ECMA checksum over
+// everything before it. Writes are atomic: the file is assembled in a
+// .tmp sibling, fsynced, renamed into place, and the directory fsynced —
+// so a crash mid-write leaves only an ignorable .tmp and every *named*
+// snapshot on disk is complete. The embedded epoch must match the
+// filename's, which is what catches a stale snapshot replayed under a
+// newer name.
 //
-// On load the newest valid snapshot wins. Files that fail validation
-// (torn, truncated, bit-flipped, stale-epoch) are rejected with a typed
-// *SnapshotError and recorded as skipped; the loader falls back to the
-// next older complete file, and to ErrNoSnapshot when the directory holds
-// none. Callers that persist protocol frontiers (the relay's upstream
-// frozen frame) treat "the newest file was skipped" as a signal that the
-// durable frontier cannot be trusted and fall back to the resync path.
+// A file is one of two kinds. A checkpoint (version 1) holds a node's
+// whole durable state. A record (version 2) holds only what changed since
+// the file before it, and its header also names the epoch it follows. A
+// node's state on disk is therefore a chain: a checkpoint plus the
+// records written after it, each following the one before. Persisting
+// writes exactly one file, a record whenever the change fits, so its cost
+// tracks the rows that changed rather than the size of the table; a new
+// checkpoint starts the next chain when every row changed or when the
+// chain's records would outweigh their checkpoint. Retention keeps the
+// two newest checkpoints and everything after the older one, so a
+// restore reads at most about two checkpoints' worth of bytes.
+//
+// Restore loads the newest valid checkpoint plus the contiguous valid
+// records after it and stops at the first file that is torn, truncated,
+// bit-flipped, stale-epoch or does not follow its predecessor. That hole
+// and every file after it are reported as skipped *SnapshotErrors, and
+// ErrNoSnapshot means the directory holds nothing at all. Callers that
+// persist protocol frontiers (the relay's upstream frozen frame) treat
+// any skipped file as a signal that the durable frontier cannot be
+// trusted and fall back to the resync path.
 //
 // The state payload itself is the aggregator's table — per-agent sketch
 // contributions serialized via the universal envelope, generations, seq
@@ -33,6 +46,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,19 +59,23 @@ import (
 )
 
 const (
-	snapMagic   uint32 = 0x50534c53 // "SLSP" little-endian
-	snapVersion byte   = 1
-	snapPrefix         = "snap-"
-	snapSuffix         = ".salsad"
-	// snapKeep is how many complete snapshots Save retains: the newest
-	// plus one predecessor, so a corrupted newest file still has a
-	// consistent (if older) fallback.
+	snapMagic uint32 = 0x50534c53 // "SLSP" little-endian
+	// snapVersion marks a checkpoint file, snapRecordVersion a record.
+	snapVersion       byte = 1
+	snapRecordVersion byte = 2
+	snapPrefix             = "snap-"
+	snapSuffix             = ".salsad"
+	// snapKeep is how many checkpoints Save retains, together with every
+	// record after the older one: the newest chain plus one predecessor,
+	// so a corrupted newest checkpoint still has a consistent (if older)
+	// fallback.
 	snapKeep = 2
 
-	// snapHeaderLen is magic+version+epoch+payloadLen; snapTrailerLen the
-	// checksum.
-	snapHeaderLen  = 4 + 1 + 8 + 4
-	snapTrailerLen = 8
+	// snapHeaderLen is magic+version+epoch+payloadLen; a record's header
+	// adds the epoch it follows. snapTrailerLen is the checksum.
+	snapHeaderLen   = 4 + 1 + 8 + 4
+	recordHeaderLen = snapHeaderLen + 8
+	snapTrailerLen  = 8
 
 	// MaxSnapshotBytes bounds the snapshot payload a Store will write or
 	// read back; a corrupted length field cannot balloon allocation.
@@ -71,9 +90,10 @@ var crcSnap = crc64.MakeTable(crc64.ECMA)
 var ErrNoSnapshot = errors.New("salsad: no snapshot on disk")
 
 // A SnapshotError reports a snapshot file (or write) that failed
-// validation: torn, truncated, checksum-mismatched, stale-epoch, or
-// written by an incompatible role. Restores treat it as "this file does
-// not exist" and fall back — to an older snapshot or to the resync path.
+// validation: torn, truncated, checksum-mismatched, stale-epoch, cut off
+// from its chain, or written by an incompatible role. Restores treat it
+// as "this file does not exist" and fall back — to an older snapshot or
+// to the resync path.
 type SnapshotError struct {
 	// Path is the offending file ("" when the state decoded but was
 	// semantically unusable).
@@ -121,13 +141,17 @@ func ParseSnapshotFileName(name string) (epoch uint64, ok bool) {
 	return v, true
 }
 
-// Store is a crash-consistent snapshot directory. Save and LoadLatest
-// are safe for concurrent use.
+// Store is a crash-consistent snapshot directory. Its methods are safe
+// for concurrent use.
 type Store struct {
 	dir string
 
 	mu    sync.Mutex
 	epoch uint64 // highest epoch present or written
+	// checkpoints holds the epochs of the newest (at most snapKeep)
+	// checkpoint files, ascending; retention keeps everything from the
+	// first.
+	checkpoints []uint64
 }
 
 // OpenStore opens (creating if needed) a snapshot directory, removes
@@ -145,17 +169,43 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, &SnapshotError{Path: dir, Reason: "scan data dir", Err: err}
 	}
+	var epochs []uint64
 	for _, ent := range entries {
 		name := ent.Name()
 		if strings.HasSuffix(name, ".tmp") && strings.HasPrefix(name, snapPrefix) {
 			os.Remove(filepath.Join(dir, name)) //nolint:errcheck // best-effort cleanup
 			continue
 		}
-		if epoch, ok := ParseSnapshotFileName(name); ok && epoch > s.epoch {
-			s.epoch = epoch
+		if epoch, ok := ParseSnapshotFileName(name); ok {
+			epochs = append(epochs, epoch)
+		}
+	}
+	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	if len(epochs) > 0 {
+		s.epoch = epochs[len(epochs)-1]
+	}
+	// Find the newest checkpoints from their header bytes alone.
+	for i := len(epochs) - 1; i >= 0 && len(s.checkpoints) < snapKeep; i-- {
+		if peekVersion(filepath.Join(dir, SnapshotFileName(epochs[i]))) == snapVersion {
+			s.checkpoints = append([]uint64{epochs[i]}, s.checkpoints...)
 		}
 	}
 	return s, nil
+}
+
+// peekVersion returns a snapshot file's version byte, or 0 when it cannot
+// be read.
+func peekVersion(path string) byte {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	var hdr [5]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || binary.LittleEndian.Uint32(hdr[:]) != snapMagic {
+		return 0
+	}
+	return hdr[4]
 }
 
 // Dir returns the data directory.
@@ -168,23 +218,52 @@ func (s *Store) Epoch() uint64 {
 	return s.epoch
 }
 
-// Save writes state as the next-epoch snapshot: assembled in a .tmp
-// file, fsynced, renamed into place, directory fsynced. Older snapshots
-// beyond the retention window are pruned. Returns the epoch written.
+// Save writes state as the next-epoch checkpoint: assembled in a .tmp
+// file, fsynced, renamed into place, directory fsynced. Files older than
+// the retention window (the snapKeep newest checkpoints and the records
+// after the older one) are pruned. Returns the epoch written.
 func (s *Store) Save(state []byte) (uint64, error) {
-	if len(state) > MaxSnapshotBytes {
-		return 0, &SnapshotError{Path: s.dir, Reason: fmt.Sprintf("state of %d bytes exceeds the %d-byte cap", len(state), MaxSnapshotBytes)}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	epoch := s.epoch + 1
+	epoch, err := s.writeLocked(snapVersion, 0, state)
+	if err != nil {
+		return 0, err
+	}
+	s.checkpoints = append(s.checkpoints, epoch)
+	if len(s.checkpoints) > snapKeep {
+		s.checkpoints = s.checkpoints[len(s.checkpoints)-snapKeep:]
+	}
+	s.pruneLocked()
+	return epoch, nil
+}
 
-	buf := make([]byte, 0, snapHeaderLen+len(state)+snapTrailerLen)
+// saveRecord writes payload as the next-epoch record, following epoch
+// prev, which must be the newest file in the directory: a record that
+// skipped a file could never be reached by a restore.
+func (s *Store) saveRecord(prev uint64, payload []byte) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev == 0 || prev != s.epoch {
+		return 0, &SnapshotError{Path: s.dir, Reason: fmt.Sprintf("record would follow epoch %d, but the newest snapshot is epoch %d", prev, s.epoch)}
+	}
+	return s.writeLocked(snapRecordVersion, prev, payload)
+}
+
+// writeLocked assembles, writes and publishes one snapshot file.
+func (s *Store) writeLocked(version byte, prev uint64, payload []byte) (uint64, error) {
+	if len(payload) > MaxSnapshotBytes {
+		return 0, &SnapshotError{Path: s.dir, Reason: fmt.Sprintf("state of %d bytes exceeds the %d-byte cap", len(payload), MaxSnapshotBytes)}
+	}
+	epoch := s.epoch + 1
+	buf := make([]byte, 0, snapFileLen(version, len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, snapMagic)
-	buf = append(buf, snapVersion)
+	buf = append(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(state)))
-	buf = append(buf, state...)
+	if version == snapRecordVersion {
+		buf = binary.LittleEndian.AppendUint64(buf, prev)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcSnap))
 
 	final := filepath.Join(s.dir, SnapshotFileName(epoch))
@@ -199,8 +278,16 @@ func (s *Store) Save(state []byte) (uint64, error) {
 	}
 	syncDir(s.dir)
 	s.epoch = epoch
-	s.pruneLocked()
 	return epoch, nil
+}
+
+// snapFileLen is the size of a snapshot file of the given version
+// carrying n payload bytes.
+func snapFileLen(version byte, n int) int {
+	if version == snapRecordVersion {
+		return recordHeaderLen + n + snapTrailerLen
+	}
+	return snapHeaderLen + n + snapTrailerLen
 }
 
 // writeFileSync writes data to path and fsyncs it before closing.
@@ -231,14 +318,16 @@ func syncDir(dir string) {
 	d.Close() //nolint:errcheck // read-only handle
 }
 
-// pruneLocked removes complete snapshots older than the retention
-// window.
+// pruneLocked removes every snapshot older than the oldest retained
+// checkpoint.
 func (s *Store) pruneLocked() {
-	epochs := s.listEpochsLocked()
-	if len(epochs) <= snapKeep {
+	if len(s.checkpoints) < snapKeep {
 		return
 	}
-	for _, e := range epochs[:len(epochs)-snapKeep] {
+	for _, e := range s.listEpochsLocked() {
+		if e >= s.checkpoints[0] {
+			break
+		}
 		os.Remove(filepath.Join(s.dir, SnapshotFileName(e))) //nolint:errcheck // retention is best-effort
 	}
 }
@@ -260,26 +349,47 @@ func (s *Store) listEpochsLocked() []uint64 {
 	return epochs
 }
 
-// LoadResult is a successfully loaded snapshot plus the trail of newer
-// files that failed validation on the way to it.
+// LoadResult is a successfully loaded checkpoint, the records loaded on
+// top of it, and the trail of files that failed validation on the way.
 type LoadResult struct {
-	// State is the snapshot payload.
+	// State is the checkpoint payload.
 	State []byte
-	// Epoch is the loaded snapshot's epoch stamp.
+	// Epoch is the loaded checkpoint's epoch stamp.
 	Epoch uint64
 	// Path is the file the state came from.
 	Path string
-	// Skipped holds one *SnapshotError per newer file that failed
-	// validation and was passed over. Non-empty Skipped means the loaded
-	// state may predate frames that were already transmitted — protocol
-	// frontiers recovered from it must not be trusted for dedup.
+	// Records are the valid records that follow the checkpoint, oldest
+	// first, each following the one before (LoadChain only).
+	Records []Record
+	// Skipped holds one *SnapshotError per newer file that was passed
+	// over. Non-empty Skipped means the loaded state may predate frames
+	// that were already transmitted — protocol frontiers recovered from
+	// it must not be trusted for dedup.
 	Skipped []error
 }
 
-// LoadLatest returns the newest snapshot that validates. Files that fail
-// (torn, corrupt, stale-epoch) are recorded in Skipped and passed over.
-// With no snapshot files at all it returns ErrNoSnapshot; with files but
-// none valid it returns the newest file's *SnapshotError.
+// A Record is one loaded link of a snapshot chain.
+type Record struct {
+	Epoch   uint64
+	Path    string
+	Payload []byte
+}
+
+// snapFile is one validated snapshot file.
+type snapFile struct {
+	epoch   uint64
+	path    string
+	version byte
+	prev    uint64 // the epoch a record follows
+	payload []byte
+}
+
+// LoadLatest returns the newest checkpoint that validates. Files that
+// fail (torn, corrupt, stale-epoch) are recorded in Skipped and passed
+// over; valid records are passed over silently, since a record alone is
+// not a state. With no snapshot files at all it returns ErrNoSnapshot;
+// with files but no valid checkpoint it returns the newest invalid file's
+// *SnapshotError.
 func (s *Store) LoadLatest() (*LoadResult, error) {
 	s.mu.Lock()
 	epochs := s.listEpochsLocked()
@@ -289,64 +399,185 @@ func (s *Store) LoadLatest() (*LoadResult, error) {
 	}
 	var skipped []error
 	for i := len(epochs) - 1; i >= 0; i-- {
-		path := filepath.Join(s.dir, SnapshotFileName(epochs[i]))
-		state, err := readSnapshotFile(path, epochs[i])
+		f, err := readSnapshotFile(s.dir, epochs[i])
 		if err != nil {
 			skipped = append(skipped, err)
 			continue
 		}
-		return &LoadResult{State: state, Epoch: epochs[i], Path: path, Skipped: skipped}, nil
+		if f.version == snapVersion {
+			return &LoadResult{State: f.payload, Epoch: f.epoch, Path: f.path, Skipped: skipped}, nil
+		}
 	}
-	return nil, skipped[0]
+	if len(skipped) > 0 {
+		return nil, skipped[0]
+	}
+	return nil, &SnapshotError{Path: s.dir, Reason: "no checkpoint under the records on disk"}
+}
+
+// LoadChain returns the newest valid checkpoint plus the valid records
+// after it, each following the one before. It reads files from the
+// newest down to that checkpoint and no further. The first file after
+// the checkpoint that fails validation or does not follow its
+// predecessor is a hole: the chain stops there, and Skipped lists the
+// hole first and then every later file, oldest first. With no snapshot
+// files at all it returns ErrNoSnapshot; with files but no valid
+// checkpoint it returns the newest invalid file's *SnapshotError, or one
+// naming the missing checkpoint when every file read was a valid record.
+func (s *Store) LoadChain() (*LoadResult, error) {
+	s.mu.Lock()
+	epochs := s.listEpochsLocked()
+	s.mu.Unlock()
+	if len(epochs) == 0 {
+		return nil, ErrNoSnapshot
+	}
+	// Read backwards to the newest valid checkpoint.
+	var (
+		files []*snapFile
+		errs  []error
+		base  *snapFile
+	)
+	for i := len(epochs) - 1; i >= 0 && base == nil; i-- {
+		f, err := readSnapshotFile(s.dir, epochs[i])
+		switch {
+		case err != nil:
+			files, errs = append(files, nil), append(errs, err)
+		case f.version == snapVersion:
+			base = f
+		default:
+			files, errs = append(files, f), append(errs, nil)
+		}
+	}
+	if base == nil {
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+		oldest := files[len(files)-1]
+		return nil, &SnapshotError{Path: filepath.Join(s.dir, SnapshotFileName(oldest.prev)),
+			Reason: fmt.Sprintf("missing: the record of epoch %d follows it, and no older checkpoint is valid", oldest.epoch)}
+	}
+	res := &LoadResult{State: base.payload, Epoch: base.epoch, Path: base.path}
+	last := base.epoch
+	for i := len(files) - 1; i >= 0; i-- { // oldest first
+		f, err := files[i], errs[i]
+		if err == nil && f.prev != last {
+			err = &SnapshotError{Path: filepath.Join(s.dir, SnapshotFileName(f.prev)),
+				Reason: fmt.Sprintf("missing link: the record of epoch %d follows epoch %d, but the chain ends at epoch %d", f.epoch, f.prev, last)}
+		}
+		if err != nil {
+			res.Skipped = append(res.Skipped, err)
+			res.Skipped = append(res.Skipped, unreachable(s.dir, epochs[len(epochs)-i:], epochs[len(epochs)-1-i])...)
+			break
+		}
+		res.Records = append(res.Records, Record{Epoch: f.epoch, Path: f.path, Payload: f.payload})
+		last = f.epoch
+	}
+	return res, nil
+}
+
+// unreachable reports every file after a chain's hole as skipped.
+func unreachable(dir string, epochs []uint64, hole uint64) []error {
+	out := make([]error, 0, len(epochs))
+	for _, e := range epochs {
+		out = append(out, &SnapshotError{Path: filepath.Join(dir, SnapshotFileName(e)),
+			Reason: fmt.Sprintf("unreachable: the chain breaks at epoch %d", hole)})
+	}
+	return out
 }
 
 // readSnapshotFile validates one snapshot file end to end: magic,
 // version, checksum, exact length, and the epoch-matches-filename rule
 // that catches stale replays.
-func readSnapshotFile(path string, wantEpoch uint64) ([]byte, error) {
+func readSnapshotFile(dir string, wantEpoch uint64) (*snapFile, error) {
+	path := filepath.Join(dir, SnapshotFileName(wantEpoch))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, &SnapshotError{Path: path, Reason: "read", Err: err}
 	}
+	f, reason := parseSnapshotFile(data, wantEpoch)
+	if reason != "" {
+		return nil, &SnapshotError{Path: path, Reason: reason}
+	}
+	f.path = path
+	return f, nil
+}
+
+// parseSnapshotFile validates a snapshot file's bytes; a non-empty
+// reason says why they are rejected.
+func parseSnapshotFile(data []byte, wantEpoch uint64) (f *snapFile, reason string) {
 	if len(data) < snapHeaderLen+snapTrailerLen {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the minimal snapshot", len(data))}
+		return nil, fmt.Sprintf("truncated: %d bytes is shorter than the minimal snapshot", len(data))
 	}
 	body, trailer := data[:len(data)-snapTrailerLen], data[len(data)-snapTrailerLen:]
 	if got, want := binary.LittleEndian.Uint64(trailer), crc64.Checksum(body, crcSnap); got != want {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("checksum mismatch: file says %016x, content hashes to %016x", got, want)}
+		return nil, fmt.Sprintf("checksum mismatch: file says %016x, content hashes to %016x", got, want)
 	}
 	if binary.LittleEndian.Uint32(body) != snapMagic {
-		return nil, &SnapshotError{Path: path, Reason: "bad magic"}
+		return nil, "bad magic"
 	}
-	if body[4] != snapVersion {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("unsupported version %d", body[4])}
+	f = &snapFile{version: body[4]}
+	hdr := snapHeaderLen
+	switch f.version {
+	case snapVersion:
+	case snapRecordVersion:
+		hdr = recordHeaderLen
+		if len(body) < hdr {
+			return nil, fmt.Sprintf("truncated: %d bytes is shorter than the minimal record", len(data))
+		}
+		f.prev = binary.LittleEndian.Uint64(body[13:])
+	default:
+		return nil, fmt.Sprintf("unsupported version %d", f.version)
 	}
-	epoch := binary.LittleEndian.Uint64(body[5:])
-	if epoch != wantEpoch {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("stale-epoch replay: file named for epoch %d embeds epoch %d", wantEpoch, epoch)}
+	f.epoch = binary.LittleEndian.Uint64(body[5:])
+	if f.epoch != wantEpoch {
+		return nil, fmt.Sprintf("stale-epoch replay: file named for epoch %d embeds epoch %d", wantEpoch, f.epoch)
 	}
-	payloadLen := int(binary.LittleEndian.Uint32(body[13:]))
-	if payloadLen > MaxSnapshotBytes || payloadLen != len(body)-snapHeaderLen {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("declared payload length %d does not match the %d bytes present", payloadLen, len(body)-snapHeaderLen)}
+	if f.version == snapRecordVersion && f.prev >= f.epoch {
+		return nil, fmt.Sprintf("record of epoch %d claims to follow epoch %d", f.epoch, f.prev)
 	}
-	return body[snapHeaderLen:], nil
+	payloadLen := int(binary.LittleEndian.Uint32(body[hdr-4:]))
+	if payloadLen > MaxSnapshotBytes || payloadLen != len(body)-hdr {
+		return nil, fmt.Sprintf("declared payload length %d does not match the %d bytes present", payloadLen, len(body)-hdr)
+	}
+	f.payload = body[hdr:]
+	return f, ""
 }
 
 // --- aggregator/relay state payload codec ---
+//
+// A checkpoint payload is
+//
+//	magic "SLST" | version | kind | counters | rows | candidates | upstream
+//
+// and a record payload is
+//
+//	magic "SLSR" | version | kind | counters | changed rows | new candidates | [upstream]
+//
+// where rows are (id, gen, seq, cursor, depth, cur, base) in sorted id
+// order and the record's upstream section is present only when it
+// changed. Rows are never deleted and candidates only ever added, so a
+// record replays onto the state before it by overwriting rows, adding
+// candidates and replacing the counters and upstream section.
 
 const (
 	stateMagic   uint32 = 0x54534c53 // "SLST" little-endian
+	recordMagic  uint32 = 0x52534c53 // "SLSR" little-endian
 	stateVersion byte   = 1
 
 	stateKindAggregator byte = 0
 	stateKindRelay      byte = 1
+
+	// minRowLen is the smallest encoded agent row: a 1-byte id plus its
+	// length, three u64s, the depth and two absent-sketch bytes.
+	minRowLen = 2 + 1 + 3*8 + 1 + 2
 )
 
 // MarshalState serializes the aggregator's durable state — the per-agent
 // table (contribution envelopes, generation, seq frontier, cursor,
-// depth), the candidate pool, and the protocol counters — as a snapshot
-// payload for Store.Save. The bytes are deterministic: agents and
-// candidates are written in sorted order.
+// depth), the candidate pool, and the protocol counters — as a
+// checkpoint payload for Store.Save. The bytes are deterministic: agents
+// and candidates are written in sorted order.
 func (a *Aggregator) MarshalState() ([]byte, error) {
 	return a.marshalState(stateKindAggregator, nil)
 }
@@ -354,17 +585,65 @@ func (a *Aggregator) MarshalState() ([]byte, error) {
 func (a *Aggregator) marshalState(kind byte, upstream []byte) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	buf := make([]byte, 0, 1<<12)
-	buf = binary.LittleEndian.AppendUint32(buf, stateMagic)
-	buf = append(buf, stateVersion, kind)
-	for _, c := range a.stats.counters() {
-		buf = binary.LittleEndian.AppendUint64(buf, c)
-	}
+	return a.appendStateLocked(kind, &a.stats, upstream)
+}
 
+// appendStateLocked encodes a checkpoint payload with the given counters.
+func (a *Aggregator) appendStateLocked(kind byte, stats *AggregatorStats, upstream []byte) ([]byte, error) {
+	buf := make([]byte, 0, 1<<12)
+	buf = appendPayloadHeader(buf, stateMagic, kind, stats)
 	ids := make([]string, 0, len(a.agents))
 	for id := range a.agents {
 		ids = append(ids, id)
 	}
+	buf, err := a.appendRowsLocked(buf, ids)
+	if err != nil {
+		return nil, err
+	}
+	cands := make([]uint64, 0, len(a.candidates))
+	for it := range a.candidates {
+		cands = append(cands, it)
+	}
+	buf = appendCandidates(buf, cands)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(upstream)))
+	return append(buf, upstream...), nil
+}
+
+// appendRecordLocked encodes a record payload: the dirty rows, the
+// candidates added since the last saved snapshot, and the upstream
+// section when non-nil.
+func (a *Aggregator) appendRecordLocked(kind byte, stats *AggregatorStats, upstream []byte) ([]byte, error) {
+	buf := make([]byte, 0, 1<<12)
+	buf = appendPayloadHeader(buf, recordMagic, kind, stats)
+	ids := make([]string, 0, len(a.dirty))
+	for id := range a.dirty {
+		ids = append(ids, id)
+	}
+	buf, err := a.appendRowsLocked(buf, ids)
+	if err != nil {
+		return nil, err
+	}
+	buf = appendCandidates(buf, append([]uint64(nil), a.newCands...))
+	if upstream == nil {
+		return append(buf, 0), nil
+	}
+	buf = append(buf, 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(upstream)))
+	return append(buf, upstream...), nil
+}
+
+func appendPayloadHeader(buf []byte, magic uint32, kind byte, stats *AggregatorStats) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, magic)
+	buf = append(buf, stateVersion, kind)
+	for _, c := range stats.counters() {
+		buf = binary.LittleEndian.AppendUint64(buf, c)
+	}
+	return buf
+}
+
+// appendRowsLocked writes the count and then the rows of the given agents
+// in sorted id order (ids is sorted in place).
+func (a *Aggregator) appendRowsLocked(buf []byte, ids []string) ([]byte, error) {
 	sort.Strings(ids)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
@@ -383,20 +662,18 @@ func (a *Aggregator) marshalState(kind byte, upstream []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
+	return buf, nil
+}
 
-	cands := make([]uint64, 0, len(a.candidates))
-	for it := range a.candidates {
-		cands = append(cands, it)
-	}
+// appendCandidates writes the count and then the items in ascending
+// order (cands is sorted in place).
+func appendCandidates(buf []byte, cands []uint64) []byte {
 	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cands)))
 	for _, it := range cands {
 		buf = binary.LittleEndian.AppendUint64(buf, it)
 	}
-
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(upstream)))
-	buf = append(buf, upstream...)
-	return buf, nil
+	return buf
 }
 
 // appendOptionalSketch writes a presence byte and, when present, a
@@ -414,72 +691,164 @@ func appendOptionalSketch(buf []byte, s salsa.Sketch) ([]byte, error) {
 	return append(buf, env...), nil
 }
 
-// restoreState rebuilds the aggregator table from a snapshot payload,
+// stateImage is a parsed state payload whose sketches are still
+// envelope bytes, so a restore that replays a chain decodes each
+// contribution once, from the newest link that carries it.
+type stateImage struct {
+	kind       byte
+	stats      AggregatorStats
+	rows       map[string]*rowImage
+	candidates map[uint64]struct{}
+	// upstream is the relay's upstream section; nil when a record does
+	// not carry one.
+	upstream []byte
+}
+
+// rowImage is one agent row with its contributions as envelopes (nil
+// when absent).
+type rowImage struct {
+	gen, seq, cursor uint64
+	depth            byte
+	cur, base        []byte
+}
+
+// parseImage parses a checkpoint payload, or a record payload when
+// record is set, checking every length against the bytes present and
+// every envelope against maxEnvelope before anything is allocated for
+// it. Sketches are not decoded.
+func parseImage(data []byte, record bool, maxEnvelope int) (*stateImage, error) {
+	what, magic := "state payload", stateMagic
+	if record {
+		what, magic = "record payload", recordMagic
+	}
+	r := frameReader{data: data}
+	if r.u32() != magic {
+		return nil, &SnapshotError{Reason: what + ": bad magic"}
+	}
+	if v := r.u8(); v != stateVersion {
+		return nil, &SnapshotError{Reason: fmt.Sprintf("%s: unsupported version %d", what, v)}
+	}
+	img := &stateImage{kind: r.u8()}
+	if img.kind != stateKindAggregator && img.kind != stateKindRelay {
+		return nil, &SnapshotError{Reason: fmt.Sprintf("%s: unknown role kind %d", what, img.kind)}
+	}
+	img.stats.setCounters(&r)
+
+	nRows := int(r.u32())
+	if r.err != nil || nRows > (len(data)-r.pos)/minRowLen {
+		return nil, &SnapshotError{Reason: what + ": truncated header"}
+	}
+	img.rows = make(map[string]*rowImage, nRows)
+	for i := 0; i < nRows; i++ {
+		idLen := int(r.u16())
+		if idLen == 0 || idLen > MaxAgentIDLen {
+			return nil, &SnapshotError{Reason: fmt.Sprintf("%s: agent id length %d outside [1,%d]", what, idLen, MaxAgentIDLen)}
+		}
+		idBytes := r.take(idLen)
+		row := &rowImage{gen: r.u64(), seq: r.u64(), cursor: r.u64(), depth: r.u8()}
+		var err error
+		if row.cur, err = readOptionalEnvelope(&r, maxEnvelope); err != nil {
+			return nil, err
+		}
+		if row.base, err = readOptionalEnvelope(&r, maxEnvelope); err != nil {
+			return nil, err
+		}
+		if r.err != nil {
+			return nil, &SnapshotError{Reason: what + ": truncated agent row"}
+		}
+		id := string(idBytes)
+		if _, dup := img.rows[id]; dup {
+			return nil, &SnapshotError{Reason: fmt.Sprintf("%s: agent %q appears twice", what, id)}
+		}
+		img.rows[id] = row
+	}
+
+	nCand := int(r.u32())
+	if r.err != nil || nCand > (len(data)-r.pos)/8 {
+		return nil, &SnapshotError{Reason: what + ": truncated candidate pool"}
+	}
+	img.candidates = make(map[uint64]struct{}, nCand)
+	for i := 0; i < nCand; i++ {
+		img.candidates[r.u64()] = struct{}{}
+	}
+
+	if !record || r.u8() == 1 {
+		upLen := int(r.u32())
+		img.upstream = r.take(upLen)
+	}
+	if r.err != nil || r.pos != len(r.data) {
+		return nil, &SnapshotError{Reason: what + ": truncated or oversized trailer"}
+	}
+	return img, nil
+}
+
+// apply replays a record onto the image of the state before it.
+func (img *stateImage) apply(rec *stateImage) error {
+	if rec.kind != img.kind {
+		return &SnapshotError{Reason: fmt.Sprintf("record payload: role kind %d follows a kind %d checkpoint", rec.kind, img.kind)}
+	}
+	img.stats = rec.stats
+	maps.Copy(img.rows, rec.rows)
+	maps.Copy(img.candidates, rec.candidates)
+	if rec.upstream != nil {
+		img.upstream = rec.upstream
+	}
+	return nil
+}
+
+// readOptionalEnvelope reads a presence byte plus a length-prefixed
+// envelope, bounded by maxEnvelope; nil means absent.
+func readOptionalEnvelope(r *frameReader, maxEnvelope int) ([]byte, error) {
+	if r.u8() == 0 {
+		return nil, nil
+	}
+	envLen := int(r.u32())
+	if envLen <= 0 || envLen > maxEnvelope {
+		if r.err != nil {
+			return nil, &SnapshotError{Reason: "state payload: truncated envelope"}
+		}
+		return nil, &SnapshotError{Reason: fmt.Sprintf("state payload: envelope of %d bytes outside (0,%d]", envLen, maxEnvelope)}
+	}
+	env := r.take(envLen)
+	if env == nil {
+		return nil, &SnapshotError{Reason: "state payload: truncated envelope"}
+	}
+	return env, nil
+}
+
+// restoreState rebuilds the aggregator table from a checkpoint payload,
 // replacing all current state. Every decoded sketch is checked for
 // compatibility against the configured reference topology, so a snapshot
 // from a differently-configured cluster is rejected rather than merged.
 // It returns the role kind the snapshot was written by and the opaque
 // upstream section (empty for aggregator snapshots).
 func (a *Aggregator) restoreState(data []byte) (kind byte, upstream []byte, err error) {
-	r := frameReader{data: data}
-	if r.u32() != stateMagic {
-		return 0, nil, &SnapshotError{Reason: "state payload: bad magic"}
+	img, err := parseImage(data, false, a.maxEnvelope)
+	if err != nil {
+		return 0, nil, err
 	}
-	if v := r.u8(); v != stateVersion {
-		return 0, nil, &SnapshotError{Reason: fmt.Sprintf("state payload: unsupported version %d", v)}
+	if err := a.install(img); err != nil {
+		return 0, nil, err
 	}
-	kind = r.u8()
-	if kind != stateKindAggregator && kind != stateKindRelay {
-		return 0, nil, &SnapshotError{Reason: fmt.Sprintf("state payload: unknown role kind %d", kind)}
-	}
-	var stats AggregatorStats
-	stats.setCounters(&r)
+	return img.kind, img.upstream, nil
+}
 
-	nAgents := int(r.u32())
-	if r.err != nil || nAgents > len(data) { // every agent row is > 1 byte
-		return 0, nil, &SnapshotError{Reason: "state payload: truncated header"}
-	}
-	agents := make(map[string]*agentEntry, nAgents)
-	for i := 0; i < nAgents; i++ {
-		idLen := int(r.u16())
-		if idLen == 0 || idLen > MaxAgentIDLen {
-			return 0, nil, &SnapshotError{Reason: fmt.Sprintf("state payload: agent id length %d outside [1,%d]", idLen, MaxAgentIDLen)}
+// install decodes an image's contributions and swaps it in as the whole
+// table. The installed state is what the disk holds, so nothing is
+// dirty afterwards.
+func (a *Aggregator) install(img *stateImage) error {
+	agents := make(map[string]*agentEntry, len(img.rows))
+	for id, row := range img.rows {
+		e := &agentEntry{gen: row.gen, lastSeq: row.seq, cursor: row.cursor, depth: row.depth}
+		var err error
+		if e.cur, err = a.decodeContribution(row.cur); err != nil {
+			return err
 		}
-		idBytes := r.take(idLen)
-		if idBytes == nil {
-			return 0, nil, &SnapshotError{Reason: "state payload: truncated agent row"}
-		}
-		e := &agentEntry{}
-		id := string(idBytes)
-		e.gen, e.lastSeq, e.cursor = r.u64(), r.u64(), r.u64()
-		e.depth = r.u8()
-		if e.cur, err = a.readOptionalSketch(&r); err != nil {
-			return 0, nil, err
-		}
-		if e.base, err = a.readOptionalSketch(&r); err != nil {
-			return 0, nil, err
-		}
-		if r.err != nil {
-			return 0, nil, &SnapshotError{Reason: "state payload: truncated agent row"}
+		if e.base, err = a.decodeContribution(row.base); err != nil {
+			return err
 		}
 		agents[id] = e
 	}
-
-	nCand := int(r.u32())
-	if r.err != nil || nCand > (len(data)-r.pos)/8 {
-		return 0, nil, &SnapshotError{Reason: "state payload: truncated candidate pool"}
-	}
-	candidates := make(map[uint64]struct{}, nCand)
-	for i := 0; i < nCand; i++ {
-		candidates[r.u64()] = struct{}{}
-	}
-
-	upLen := int(r.u32())
-	upstream = r.take(upLen)
-	if r.err != nil || r.pos != len(r.data) {
-		return 0, nil, &SnapshotError{Reason: "state payload: truncated or oversized trailer"}
-	}
-
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	now := a.now()
@@ -487,24 +856,29 @@ func (a *Aggregator) restoreState(data []byte) (kind byte, upstream []byte, err 
 		e.lastSeen = now
 	}
 	a.agents = agents
-	a.candidates = candidates
-	a.stats = stats
-	return kind, upstream, nil
+	a.candidates = img.candidates
+	a.stats = img.stats
+	a.dirty = make(map[string]uint64)
+	a.newCands = nil
+	return nil
 }
 
 // readOptionalSketch reads a presence byte plus envelope and decodes it,
 // verifying merge compatibility against the reference topology.
 func (a *Aggregator) readOptionalSketch(r *frameReader) (salsa.Sketch, error) {
-	if r.u8() == 0 {
-		return nil, nil
+	env, err := readOptionalEnvelope(r, a.maxEnvelope)
+	if err != nil {
+		return nil, err
 	}
-	envLen := int(r.u32())
-	if envLen <= 0 || envLen > a.maxEnvelope {
-		return nil, &SnapshotError{Reason: fmt.Sprintf("state payload: envelope of %d bytes outside (0,%d]", envLen, a.maxEnvelope)}
-	}
-	env := r.take(envLen)
+	return a.decodeContribution(env)
+}
+
+// decodeContribution decodes a persisted envelope (nil: absent) into its
+// delta core, verifying merge compatibility against the reference
+// topology.
+func (a *Aggregator) decodeContribution(env []byte) (salsa.Sketch, error) {
 	if env == nil {
-		return nil, &SnapshotError{Reason: "state payload: truncated envelope"}
+		return nil, nil
 	}
 	decoded, err := salsa.Unmarshal(env)
 	if err != nil {
@@ -534,26 +908,128 @@ func (s *AggregatorStats) setCounters(r *frameReader) {
 	s.Rejected, s.CandidatesDropped, s.Persists, s.PersistErrors = r.u64(), r.u64(), r.u64(), r.u64()
 }
 
-// persistor serializes marshal+save cycles so snapshot epochs are
+// --- persisting ---
+
+// A stateCut is one persist's capture: the payload of the file to write
+// and the dirtiness it covers, which is cleared once the file is saved.
+type stateCut struct {
+	payload    []byte
+	checkpoint bool
+	// applied is the applied-frame counter the payload reflects.
+	applied uint64
+	// rows maps each dirty row the payload carries to its change stamp;
+	// cands counts the new candidates it carries.
+	rows  map[string]uint64
+	cands int
+	// saved runs under the persistor's lock after the file is on disk.
+	saved func(epoch uint64)
+}
+
+// capture encodes the payload of one persist under the aggregator lock:
+// the whole table for a checkpoint, only the dirty rows and new
+// candidates for a record. upstream is a relay's upstream section (nil
+// for an aggregator, and for a relay record whose section is unchanged).
+// The payload's counters include the snapshot being written, so a
+// restored node counts every snapshot its predecessors wrote.
+func (a *Aggregator) capture(kind byte, checkpoint bool, upstream []byte) (*stateCut, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	stats := a.stats
+	stats.Persists++
+	cut := &stateCut{checkpoint: checkpoint, applied: a.stats.Applied, rows: maps.Clone(a.dirty), cands: len(a.newCands)}
+	var err error
+	if checkpoint {
+		cut.payload, err = a.appendStateLocked(kind, &stats, upstream)
+	} else {
+		cut.payload, err = a.appendRecordLocked(kind, &stats, upstream)
+	}
+	if err != nil {
+		return nil, err
+	}
+	cut.saved = func(epoch uint64) { a.saved(cut, epoch) }
+	return cut, nil
+}
+
+// saved clears the dirtiness a saved cut covered — rows changed again
+// since the capture stay dirty — and records the snapshot.
+func (a *Aggregator) saved(cut *stateCut, epoch uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for id, stamp := range cut.rows {
+		if a.dirty[id] == stamp {
+			delete(a.dirty, id)
+		}
+	}
+	a.newCands = a.newCands[:copy(a.newCands, a.newCands[cut.cands:])]
+	a.snapEpoch = epoch
+	a.snapAt = a.now()
+	a.persistedApplied = cut.applied
+	a.stats.Persists++
+}
+
+// allDirty reports whether every row changed since the last snapshot, so
+// a record would carry the whole table.
+func (a *Aggregator) allDirty() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.dirty) == len(a.agents)
+}
+
+// persistor serializes capture+save cycles so snapshot epochs are
 // written in content order even when Persist is called from several
-// goroutines (the HTTP apply path and a relay's upstream loop).
+// goroutines (the HTTP apply path and a relay's upstream loop), and
+// decides for each whether it is a checkpoint or a record.
 type persistor struct {
 	mu    sync.Mutex
 	store *Store
 	every int
-	// state produces the snapshot payload: the aggregator's MarshalState
-	// for a standalone aggregator, the relay's table+upstream marshal for
-	// a relay.
-	state func() ([]byte, error)
+	agg   *Aggregator
+	// state captures the next file's payload: a checkpoint when full is
+	// set, a record otherwise. It is the aggregator's capture for a
+	// standalone aggregator, the relay's table+upstream capture for a
+	// relay.
+	state func(full bool) (*stateCut, error)
+
+	// last is the epoch of the newest link of the chain on disk, 0 when
+	// there is no chain a record could extend; ckptBytes is the size of
+	// the chain's checkpoint file and chainBytes the total size of the
+	// records after it.
+	last                  uint64
+	ckptBytes, chainBytes int
 }
 
-// persist runs one marshal+save cycle.
+// persist runs one capture+save cycle, writing exactly one file. It is a
+// record unless there is no chain to extend, every row changed, or the
+// chain's records would outweigh its checkpoint; then it is a
+// checkpoint, which starts a new chain.
 func (p *persistor) persist() (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	state, err := p.state()
+	full := p.last == 0 || p.last != p.store.Epoch() || p.agg.allDirty()
+	cut, err := p.state(full)
 	if err != nil {
 		return 0, err
 	}
-	return p.store.Save(state)
+	if !cut.checkpoint && p.chainBytes+snapFileLen(snapRecordVersion, len(cut.payload)) > p.ckptBytes {
+		if cut, err = p.state(true); err != nil {
+			return 0, err
+		}
+	}
+	var epoch uint64
+	if cut.checkpoint {
+		epoch, err = p.store.Save(cut.payload)
+	} else {
+		epoch, err = p.store.saveRecord(p.last, cut.payload)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if cut.checkpoint {
+		p.ckptBytes, p.chainBytes = snapFileLen(snapVersion, len(cut.payload)), 0
+	} else {
+		p.chainBytes += snapFileLen(snapRecordVersion, len(cut.payload))
+	}
+	p.last = epoch
+	cut.saved(epoch)
+	return epoch, nil
 }

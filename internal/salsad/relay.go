@@ -55,6 +55,10 @@ type Relay struct {
 	frameState     salsa.Sketch
 	frameApplied   uint64
 	framePersisted bool
+	// upVer counts changes to the upstream shipping state above and
+	// upSaved is the count the newest snapshot covers: a record carries
+	// the upstream section only when they differ.
+	upVer, upSaved uint64
 	stats          AgentStats
 
 	rng   *rand.Rand
@@ -152,9 +156,9 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		if every <= 0 {
 			every = DefaultSnapshotEvery
 		}
-		r.pers = &persistor{store: store, every: every, state: r.marshalState}
+		r.pers = &persistor{store: store, every: every, agg: agg, state: r.capture}
 		agg.pers = r.pers
-		upstream, skipped := agg.restore(store, stateKindRelay)
+		upstream, skipped := agg.restore(stateKindRelay)
 		switch {
 		case agg.RestoreError() != nil || skipped > 0:
 			// Either the snapshot was rejected outright, or the newest file
@@ -179,6 +183,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 func (r *Relay) resetUpstream() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.upVer++
 	r.gen, r.seq = 0, 0
 	r.shadow, r.appliedAtShadow = nil, 0
 	r.frame, r.frameState, r.framePersisted = nil, nil, false
@@ -231,6 +236,7 @@ func (r *Relay) PushOnce(ctx context.Context) error {
 		}
 		r.mu.Lock()
 		r.gen = info.Gen + 1
+		r.upVer++
 		r.mu.Unlock()
 	}
 	if r.currentFrame() == nil {
@@ -319,6 +325,7 @@ func (r *Relay) cutFrame() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.upVer++
 	if r.shadow == nil && r.seq == 0 {
 		env, err := salsa.Marshal(merged)
 		if err != nil {
@@ -403,6 +410,7 @@ func (r *Relay) persistFrame() error {
 func (r *Relay) commitFrame() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.upVer++
 	if r.frame.Heartbeat() {
 		r.stats.Heartbeats++
 	} else {
@@ -421,6 +429,7 @@ func (r *Relay) commitFrame() {
 // available — no replay hook needed.
 func (r *Relay) prepareResync(ack *Ack) error {
 	r.mu.Lock()
+	r.upVer++
 	r.stats.Resyncs++
 	if ack.Gen > r.gen {
 		r.gen = ack.Gen
@@ -433,8 +442,8 @@ func (r *Relay) prepareResync(ack *Ack) error {
 	return r.cutFrame()
 }
 
-// Persist writes a snapshot of the full relay state (downstream table
-// plus upstream shipping state) as a new epoch; see Aggregator.Persist.
+// Persist writes the relay state (downstream table plus upstream shipping
+// state) as a new snapshot epoch; see Aggregator.Persist.
 func (r *Relay) Persist() (uint64, error) {
 	if r.pers == nil {
 		return 0, &ConfigError{Field: "DataDir", Reason: "relay is not durable; set DataDir"}
@@ -442,43 +451,78 @@ func (r *Relay) Persist() (uint64, error) {
 	return r.agg.Persist()
 }
 
-// marshalState is the persistor's payload hook: the upstream shipping
-// state captured under the relay lock, wrapped around the aggregator's
-// table marshal. The two captures are not atomic with each other, but the
+// MarshalState serializes the relay's durable state — the downstream
+// table plus the upstream shipping state — as a checkpoint payload; see
+// Aggregator.MarshalState.
+func (r *Relay) MarshalState() ([]byte, error) {
+	r.mu.Lock()
+	up, err := r.appendUpstreamLocked()
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return r.agg.marshalState(stateKindRelay, up)
+}
+
+// capture is the persistor's payload hook: the upstream shipping state
+// captured under the relay lock (for a record, only when it changed
+// since the last snapshot), wrapped around the aggregator's table
+// capture. The two captures are not atomic with each other, but the
 // persistor serializes whole persist cycles, and the cut-before-send
 // barrier guarantees the newest snapshot at any transmission already
 // contains that frame — an older pairing is only ever restored when the
 // frame it lacks was never sent.
-func (r *Relay) marshalState() ([]byte, error) {
+func (r *Relay) capture(full bool) (*stateCut, error) {
 	r.mu.Lock()
+	ver := r.upVer
+	var (
+		up  []byte
+		err error
+	)
+	if full || ver != r.upSaved {
+		up, err = r.appendUpstreamLocked()
+	}
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	cut, err := r.agg.capture(stateKindRelay, full, up)
+	if err != nil || up == nil {
+		return cut, err
+	}
+	tableSaved := cut.saved
+	cut.saved = func(epoch uint64) {
+		tableSaved(epoch)
+		r.mu.Lock()
+		r.upSaved = ver
+		r.mu.Unlock()
+	}
+	return cut, nil
+}
+
+// appendUpstreamLocked encodes the upstream section: generation, seq,
+// shadow, and the frozen frame with the state it advances to.
+func (r *Relay) appendUpstreamLocked() ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = binary.LittleEndian.AppendUint64(buf, r.gen)
 	buf = binary.LittleEndian.AppendUint64(buf, r.seq)
 	buf = binary.LittleEndian.AppendUint64(buf, r.appliedAtShadow)
 	var err error
 	if buf, err = appendOptionalSketch(buf, r.shadow); err != nil {
-		r.mu.Unlock()
 		return nil, err
 	}
 	if r.frame == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, r.frameApplied)
-		enc, err := r.frame.Encode()
-		if err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
-		if buf, err = appendOptionalSketch(buf, r.frameState); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
+		return append(buf, 0), nil
 	}
-	r.mu.Unlock()
-	return r.agg.marshalState(stateKindRelay, buf)
+	buf = append(buf, 1)
+	buf = binary.LittleEndian.AppendUint64(buf, r.frameApplied)
+	enc, err := r.frame.Encode()
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
+	buf = append(buf, enc...)
+	return appendOptionalSketch(buf, r.frameState)
 }
 
 // restoreUpstream rebuilds the upstream shipping state from a snapshot's
